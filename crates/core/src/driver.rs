@@ -865,12 +865,11 @@ impl<'p> Dart<'p> {
                 let solve_started = std::time::Instant::now();
                 let upper = result.stack.len().min(result.path.len());
                 let constraints = result.path.constraints();
-                // One incremental prefix session per run: the `j` queries
-                // below all share prefixes of this run's path constraint.
-                let mut session = solver.session();
-                for c in &constraints[..upper] {
-                    session.push(c);
-                }
+                // The `j` queries below all share prefixes of this run's
+                // path constraint; the cache's prefix session keeps what
+                // the previous expansion's path shares with it.
+                let mut session = cache.take_session(&solver, &constraints[..upper]);
+                let session_before = session.stats();
                 // Candidate collection, dedup first: a fingerprint already
                 // derived (this restart or an earlier one) skips its
                 // solver query entirely, at the sound cost of the
@@ -998,11 +997,10 @@ impl<'p> Dart<'p> {
                 // LP/portfolio counters from this generation's committing
                 // session (speculative workers' sessions are discarded —
                 // scheduling-dependent, scrubbed; see `solve_next`).
-                let session_stats = session.stats();
-                report.solver.warm_pivots += session_stats.warm_pivots;
-                report.solver.cold_restarts += session_stats.cold_restarts;
-                report.solver.portfolio_fd_wins += session_stats.portfolio_fd_wins;
-                report.solver.portfolio_lp_wins += session_stats.portfolio_lp_wins;
+                report
+                    .solver
+                    .absorb_session(session.stats().since(session_before));
+                cache.restore_session(session);
                 report.solver.absorb_cache(&cache);
                 report.solve_time += solve_started.elapsed();
                 report.dedup_hits = frontier.dedup_hits;

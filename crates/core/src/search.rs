@@ -30,7 +30,8 @@ use crate::pool::{SolvePool, WalkItem, WalkRequest};
 use crate::supervise::FaultState;
 use crate::tape::InputTape;
 use dart_solver::{
-    Assignment, CacheStats, Constraint, PrefixSession, QueryCache, SolveInfo, SolveOutcome, Solver,
+    Assignment, CacheStats, Constraint, PrefixSession, QueryCache, SessionStats, SolveInfo,
+    SolveOutcome, Solver,
 };
 use dart_sym::{BranchRecord, PathConstraint};
 use rand::rngs::SmallRng;
@@ -164,6 +165,17 @@ impl SolveStats {
         self.shared_hits = cs.shared_hits;
     }
 
+    /// Adds one walk's LP/portfolio activity: `delta` is the committing
+    /// prefix session's counters since the walk began
+    /// ([`SessionStats::since`]). The session outlives the walk, so adding
+    /// its running totals instead would count earlier walks again.
+    pub(crate) fn absorb_session(&mut self, delta: SessionStats) {
+        self.warm_pivots += delta.warm_pivots;
+        self.cold_restarts += delta.cold_restarts;
+        self.portfolio_fd_wins += delta.portfolio_fd_wins;
+        self.portfolio_lp_wins += delta.portfolio_lp_wins;
+    }
+
     /// Zeroes every scheduling-dependent diagnostic — the counters the
     /// determinism contract explicitly excludes (`parallel_wasted`,
     /// `shared_hits`, `steals`, `pool_idle_ns`, `max_queue_depth`,
@@ -244,13 +256,12 @@ pub fn solve_next(
         Strategy::Dfs => candidates.reverse(),
         Strategy::RandomBranch => candidates.shuffle(rng),
     }
-    // All of this run's queries share prefixes of one path constraint, so
-    // push it once and let each query start from the shared factorization.
+    // All of this run's queries share prefixes of one path constraint, and
+    // the previous run's path shares all but its tail: the cache's prefix
+    // session pops back to the common prefix and pushes only the rest.
     let prefix = &path.constraints()[..n];
-    let mut session = solver.session();
-    for c in prefix {
-        session.push(c);
-    }
+    let mut session = cache.take_session(solver, prefix);
+    let session_before = session.stats();
     let mut speculated = match scheduler {
         Scheduler::Pool(pool) if candidates.len() > 1 => speculate_pooled(
             prefix,
@@ -331,15 +342,12 @@ pub fn solve_next(
             *acc += w;
         }
     }
-    // LP/portfolio counters from the committing session. Speculative pool
-    // workers solve on their own sessions that are dropped with the scope,
-    // so these totals depend on how much work the commit walk did locally
-    // — diagnostics, scrubbed with the rest.
-    let session_stats = session.stats();
-    stats.warm_pivots += session_stats.warm_pivots;
-    stats.cold_restarts += session_stats.cold_restarts;
-    stats.portfolio_fd_wins += session_stats.portfolio_fd_wins;
-    stats.portfolio_lp_wins += session_stats.portfolio_lp_wins;
+    // LP/portfolio counters from the committing session. Speculative
+    // workers solve on their own sessions, so these totals depend on how
+    // much work the commit walk did locally — diagnostics, scrubbed with
+    // the rest.
+    stats.absorb_session(session.stats().since(session_before));
+    cache.restore_session(session);
     stats.absorb_cache(cache);
     found
 }
@@ -393,7 +401,7 @@ impl Speculation {
 fn speculate_scoped(
     path: &PathConstraint,
     candidates: &[usize],
-    session: &PrefixSession<'_>,
+    session: &PrefixSession,
     tape: &InputTape,
     cache: &QueryCache,
     threads: usize,
@@ -471,7 +479,7 @@ fn speculate_pooled(
     prefix: &[Constraint],
     path: &PathConstraint,
     candidates: &[usize],
-    session: &PrefixSession<'_>,
+    session: &PrefixSession,
     tape: &InputTape,
     cache: &QueryCache,
     solver: &Solver,
@@ -535,7 +543,7 @@ pub(crate) fn speculate_all(
     prefix: &[Constraint],
     path: &PathConstraint,
     candidates: &[usize],
-    session: &PrefixSession<'_>,
+    session: &PrefixSession,
     tape: &InputTape,
     cache: &QueryCache,
     solver: &Solver,
@@ -1025,6 +1033,52 @@ mod tests {
         let (_, stats, _) = run_mixed_path(Scheduler::Pool(&pool));
         assert!(stats.parallel_wasted <= 3);
         assert_eq!(stats.per_worker_solves.len(), 4);
+    }
+
+    /// The cache's prefix session lives across walks, so its LP counters
+    /// are running totals. `solve_next` must add each walk's delta: over
+    /// several walks, `SolveStats` then equals the session's lifetime
+    /// totals instead of counting earlier walks again.
+    #[test]
+    fn lp_counters_count_each_walk_once() {
+        // path: x + y <= 4 (taken), x + y != 5 (taken). Flipping the
+        // second branch is rationally infeasible; with the FD pass capped
+        // at one node the LP screen has to refute it.
+        let sum = LinExpr::var(Var(0)).add(&LinExpr::var(Var(1)));
+        let mut pc = PathConstraint::new();
+        pc.push(Constraint::new(sum.offset(-4), RelOp::Le));
+        pc.push(Constraint::new(sum.offset(-5), RelOp::Ne));
+        let mut tape = InputTape::new(0);
+        let _ = tape.take(InputKind::IntLike, || "x".into());
+        let _ = tape.take(InputKind::IntLike, || "y".into());
+        let stack = vec![record(true, false), record(true, false)];
+        let solver = Solver::new(dart_solver::SolverConfig {
+            max_fd_nodes: 1,
+            ..dart_solver::SolverConfig::default()
+        });
+        // Disabled verdict stores: every walk re-solves the same queries.
+        let mut cache = QueryCache::new(false);
+        let mut stats = SolveStats::default();
+        let mut rng = SmallRng::seed_from_u64(0);
+        for _ in 0..3 {
+            solve_next(
+                &pc,
+                &stack,
+                &tape,
+                &solver,
+                &mut cache,
+                Strategy::Dfs,
+                &mut rng,
+                &mut stats,
+                &mut FaultState::default(),
+                Scheduler::Sequential,
+            );
+        }
+        assert_eq!(stats.unsat, 3, "each walk refutes the deepest flip");
+        let lifetime = cache.take_session(&solver, pc.constraints()).stats();
+        assert!(lifetime.cold_restarts >= 1, "the LP screen ran");
+        assert_eq!(stats.cold_restarts, lifetime.cold_restarts);
+        assert_eq!(stats.warm_pivots, lifetime.warm_pivots);
     }
 
     #[test]

@@ -71,7 +71,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::constraint::Constraint;
-use crate::ilp::{Assignment, SolveInfo, SolveOutcome, Solver};
+use crate::ilp::{Assignment, PrefixSession, SolveInfo, SolveOutcome, Solver};
 use crate::linear::Var;
 use crate::shared::SharedVerdictStore;
 
@@ -88,6 +88,29 @@ pub(crate) type SetKey = Vec<Vec<u8>>;
 
 /// The hint's projection onto a query's variables, in sorted var order.
 pub(crate) type HintKey = Vec<(u32, Option<i64>)>;
+
+/// The constraints of one query, viewed in place: a prefix slice plus, for
+/// session queries, the negated constraint, so the cache never copies a
+/// session's prefix to look a query up.
+#[derive(Clone, Copy)]
+struct Query<'a> {
+    prefix: &'a [Constraint],
+    negated: Option<&'a Constraint>,
+}
+
+impl<'a> Query<'a> {
+    /// The constraints in query order (the order keys and solves use).
+    fn iter(self) -> impl Iterator<Item = &'a Constraint> {
+        self.prefix.iter().chain(self.negated)
+    }
+
+    /// The same constraints with the negated one first. A pooled model
+    /// came from an earlier query, so it usually satisfies the prefix and
+    /// fails the negation; checking that first rejects it in one step.
+    fn probe_order(self) -> impl Iterator<Item = &'a Constraint> {
+        self.negated.into_iter().chain(self.prefix)
+    }
+}
 
 /// Counters describing what the cache did so far; snapshot via
 /// [`QueryCache::stats`].
@@ -148,6 +171,10 @@ pub struct QueryCache {
     exact: HashMap<(SetKey, HintKey), SolveOutcome>,
     models: Vec<Assignment>,
     stats: CacheStats,
+    /// The session's prefix solver state, kept between walks so the next
+    /// path only pushes the suffix it does not share (see
+    /// [`QueryCache::take_session`]).
+    session: Option<PrefixSession>,
     /// Cross-session verdict store, consulted after every session-local
     /// shortcut misses; `None` (the default) keeps the cache
     /// session-private. Independent of `enabled`: the store replays
@@ -193,6 +220,23 @@ impl QueryCache {
         self.shared.as_ref()
     }
 
+    /// Hands out this cache's prefix session brought to `prefix` on
+    /// `solver`: the session kept from the previous walk, popped back to
+    /// the longest common prefix and extended by the rest, or a fresh one.
+    /// Give it back with [`QueryCache::restore_session`] once the walk's
+    /// queries are answered; a session that is never given back (a panic
+    /// mid-walk) is simply rebuilt next time.
+    pub fn take_session(&mut self, solver: &Solver, prefix: &[Constraint]) -> PrefixSession {
+        let mut session = self.session.take().unwrap_or_else(|| solver.session());
+        session.sync(solver, prefix);
+        session
+    }
+
+    /// Keeps `session` for the next [`QueryCache::take_session`].
+    pub fn restore_session(&mut self, session: PrefixSession) {
+        self.session = Some(session);
+    }
+
     /// Folds a per-worker counter shard into this cache's cumulative
     /// stats. Speculative workers count their fresh solves as `misses`;
     /// merging keeps `misses` an honest count of solver invocations
@@ -215,17 +259,21 @@ impl QueryCache {
     where
         F: Fn(Var) -> Option<i64>,
     {
-        let key = self.enabled.then(|| set_key(constraints.iter()));
-        if let Some(out) = self.shortcut(solver, &key, constraints, &hint) {
+        let q = Query {
+            prefix: constraints,
+            negated: None,
+        };
+        let key = self.enabled.then(|| set_key(q.iter()));
+        if let Some(out) = self.shortcut(solver, &key, q, &hint) {
             return out;
         }
-        if let Some(out) = self.shared_replay(&key, constraints, &hint) {
+        if let Some(out) = self.shared_replay(&key, q, &hint) {
             return out;
         }
         let mut info = SolveInfo::default();
         let out = solver.solve_with_hint_info(constraints, &hint, &mut info);
-        self.record(key, constraints, &hint, info.was_split(), &out);
-        self.publish_shared(constraints, &hint, info.was_split(), &out);
+        self.record(key, q, &hint, info.was_split(), &out);
+        self.publish_shared(q, &hint, info.was_split(), &out);
         out
     }
 
@@ -235,7 +283,7 @@ impl QueryCache {
     /// call sites share verdicts.
     pub fn solve_query<F>(
         &mut self,
-        session: &mut crate::ilp::PrefixSession<'_>,
+        session: &mut PrefixSession,
         j: usize,
         negated: &Constraint,
         hint: F,
@@ -265,7 +313,7 @@ impl QueryCache {
     /// walk's state for every position that actually consumes one.
     pub fn solve_query_precomputed<F>(
         &mut self,
-        session: &mut crate::ilp::PrefixSession<'_>,
+        session: &mut PrefixSession,
         j: usize,
         negated: &Constraint,
         hint: F,
@@ -274,29 +322,33 @@ impl QueryCache {
     where
         F: Fn(Var) -> Option<i64>,
     {
-        let full: Vec<Constraint> = session
-            .prefix_live(j)
-            .iter()
-            .chain(std::iter::once(negated))
-            .cloned()
-            .collect();
-        let key = self.enabled.then(|| set_key(full.iter()));
-        if let Some(out) = self.shortcut(session.solver(), &key, &full, &hint) {
+        let q = Query {
+            prefix: session.prefix_live(j),
+            negated: Some(negated),
+        };
+        let key = self.enabled.then(|| set_key(q.iter()));
+        if let Some(out) = self.shortcut(session.solver(), &key, q, &hint) {
             return (out, false);
         }
-        if let Some(out) = self.shared_replay(&key, &full, &hint) {
+        if let Some(out) = self.shared_replay(&key, q, &hint) {
             return (out, false);
         }
-        if let Some((out, info)) = precomputed {
-            self.record(key, &full, &hint, info.was_split(), &out);
-            self.publish_shared(&full, &hint, info.was_split(), &out);
-            return (out, true);
-        }
-        let mut info = SolveInfo::default();
-        let out = session.solve_query_info(j, negated, &hint, &mut info);
-        self.record(key, &full, &hint, info.was_split(), &out);
-        self.publish_shared(&full, &hint, info.was_split(), &out);
-        (out, false)
+        let (out, info, consumed) = match precomputed {
+            Some((out, info)) => (out, info, true),
+            None => {
+                let mut info = SolveInfo::default();
+                let out = session.solve_query_info(j, negated, &hint, &mut info);
+                (out, info, false)
+            }
+        };
+        // Solving leaves the prefix untouched; re-borrow it for the record.
+        let q = Query {
+            prefix: session.prefix_live(j),
+            negated: Some(negated),
+        };
+        self.record(key, q, &hint, info.was_split(), &out);
+        self.publish_shared(q, &hint, info.was_split(), &out);
+        (out, consumed)
     }
 
     /// Read-only preview of a depth-`j` query for speculative workers:
@@ -307,7 +359,7 @@ impl QueryCache {
     /// candidate's satisfiability for the high-water mark.
     pub fn peek_query<F>(
         &self,
-        session: &crate::ilp::PrefixSession<'_>,
+        session: &PrefixSession,
         j: usize,
         negated: &Constraint,
         hint: F,
@@ -315,34 +367,32 @@ impl QueryCache {
     where
         F: Fn(Var) -> Option<i64>,
     {
-        let full: Vec<Constraint> = session
-            .prefix_live(j)
-            .iter()
-            .chain(std::iter::once(negated))
-            .cloned()
-            .collect();
-        let key = self.enabled.then(|| set_key(full.iter()));
+        let q = Query {
+            prefix: session.prefix_live(j),
+            negated: Some(negated),
+        };
+        let key = self.enabled.then(|| set_key(q.iter()));
         if let Some(key) = &key {
             if self.unsat.contains_key(key) {
                 return Some(SolveOutcome::Unsat);
             }
         }
-        if let Some(m) = self.try_model_reuse(session.solver(), &full, &hint) {
+        if let Some(m) = self.try_model_reuse(session.solver(), q, &hint) {
             return Some(SolveOutcome::Sat(m));
         }
         if let Some(key) = &key {
-            let full_key = (key.clone(), hint_key(&full, &hint));
+            let full_key = (key.clone(), hint_key(q, &hint));
             if let Some(out) = self.exact.get(&full_key).cloned() {
                 return Some(out);
             }
         }
         let store = self.shared.as_ref()?;
-        let set = key.unwrap_or_else(|| set_key(full.iter()));
+        let set = key.unwrap_or_else(|| set_key(q.iter()));
         if store.lookup_unsat(&set).is_some() {
             return Some(SolveOutcome::Unsat);
         }
         store
-            .lookup_exact(&seq_key(full.iter()), &hint_key(&full, &hint))
+            .lookup_exact(&seq_key(q.iter()), &hint_key(q, &hint))
             .map(|(out, _)| out)
     }
 
@@ -354,7 +404,7 @@ impl QueryCache {
     fn shared_replay<F>(
         &mut self,
         key: &Option<SetKey>,
-        constraints: &[Constraint],
+        q: Query<'_>,
         hint: &F,
     ) -> Option<SolveOutcome>
     where
@@ -363,15 +413,13 @@ impl QueryCache {
         let store = self.shared.clone()?;
         let set = match key {
             Some(k) => k.clone(),
-            None => set_key(constraints.iter()),
+            None => set_key(q.iter()),
         };
         let (out, was_split) = match store.lookup_unsat(&set) {
             Some(was_split) => (SolveOutcome::Unsat, was_split),
-            None => {
-                store.lookup_exact(&seq_key(constraints.iter()), &hint_key(constraints, hint))?
-            }
+            None => store.lookup_exact(&seq_key(q.iter()), &hint_key(q, hint))?,
         };
-        self.record(key.clone(), constraints, hint, was_split, &out);
+        self.record(key.clone(), q, hint, was_split, &out);
         self.stats.shared_hits += 1;
         Some(out)
     }
@@ -379,24 +427,16 @@ impl QueryCache {
     /// Publishes a fresh verdict to the attached store (no-op without
     /// one): refutations to the hint-free canonical unsat tier,
     /// `Sat`/`Unknown` to the ordered exact tier.
-    fn publish_shared<F>(
-        &mut self,
-        constraints: &[Constraint],
-        hint: &F,
-        was_split: bool,
-        out: &SolveOutcome,
-    ) where
+    fn publish_shared<F>(&mut self, q: Query<'_>, hint: &F, was_split: bool, out: &SolveOutcome)
+    where
         F: Fn(Var) -> Option<i64>,
     {
         let Some(store) = &self.shared else { return };
         match out {
-            SolveOutcome::Unsat => store.publish_unsat(set_key(constraints.iter()), was_split),
-            SolveOutcome::Sat(_) | SolveOutcome::Unknown => store.publish_exact(
-                seq_key(constraints.iter()),
-                hint_key(constraints, hint),
-                out.clone(),
-                was_split,
-            ),
+            SolveOutcome::Unsat => store.publish_unsat(set_key(q.iter()), was_split),
+            SolveOutcome::Sat(_) | SolveOutcome::Unknown => {
+                store.publish_exact(seq_key(q.iter()), hint_key(q, hint), out.clone(), was_split)
+            }
         }
     }
 
@@ -410,7 +450,7 @@ impl QueryCache {
         &mut self,
         solver: &Solver,
         key: &Option<SetKey>,
-        constraints: &[Constraint],
+        q: Query<'_>,
         hint: &F,
     ) -> Option<SolveOutcome>
     where
@@ -422,7 +462,7 @@ impl QueryCache {
                 return Some(SolveOutcome::Unsat);
             }
         }
-        if let Some(m) = self.try_model_reuse(solver, constraints, hint) {
+        if let Some(m) = self.try_model_reuse(solver, q, hint) {
             self.stats.model_reuse += 1;
             if self.enabled {
                 self.stats.hits += 1;
@@ -430,7 +470,7 @@ impl QueryCache {
             return Some(SolveOutcome::Sat(m));
         }
         if let Some(key) = key {
-            let full_key = (key.clone(), hint_key(constraints, hint));
+            let full_key = (key.clone(), hint_key(q, hint));
             if let Some(out) = self.exact.get(&full_key).cloned() {
                 self.stats.hits += 1;
                 if let SolveOutcome::Sat(m) = &out {
@@ -448,20 +488,15 @@ impl QueryCache {
     /// probes first and declines when either would fire, so this path
     /// only answers queries the solver would have sent to a full search —
     /// then scans the pool, newest first, for a model that satisfies
-    /// every constraint.
-    fn try_model_reuse<F>(
-        &self,
-        solver: &Solver,
-        constraints: &[Constraint],
-        hint: &F,
-    ) -> Option<Assignment>
+    /// every constraint. The checks are pure, so testing the negated
+    /// constraint first changes only how fast a model is rejected.
+    fn try_model_reuse<F>(&self, solver: &Solver, q: Query<'_>, hint: &F) -> Option<Assignment>
     where
         F: Fn(Var) -> Option<i64>,
     {
         let b = solver.config().default_bounds;
         let probe = |pick: &dyn Fn(Var) -> i64| {
-            constraints
-                .iter()
+            q.probe_order()
                 .all(|c| c.satisfied_by(|v| Some(pick(v).clamp(b.lo, b.hi))))
         };
         if probe(&|v| hint(v).unwrap_or(0)) || probe(&|_| 0) {
@@ -470,7 +505,7 @@ impl QueryCache {
         for m in self.models.iter().rev() {
             let pick = |v: Var| m.get(&v).copied().unwrap_or(0);
             if probe(&pick) {
-                let model: Assignment = constraints
+                let model: Assignment = q
                     .iter()
                     .flat_map(|c| c.vars())
                     .map(|v| (v, pick(v).clamp(b.lo, b.hi)))
@@ -495,7 +530,7 @@ impl QueryCache {
     fn record<F>(
         &mut self,
         key: Option<SetKey>,
-        constraints: &[Constraint],
+        q: Query<'_>,
         hint: &F,
         was_split: bool,
         out: &SolveOutcome,
@@ -518,8 +553,7 @@ impl QueryCache {
                 self.unsat.insert(key, ());
             }
             SolveOutcome::Sat(_) | SolveOutcome::Unknown => {
-                self.exact
-                    .insert((key, hint_key(constraints, hint)), out.clone());
+                self.exact.insert((key, hint_key(q, hint)), out.clone());
             }
         }
     }
@@ -555,11 +589,11 @@ fn fingerprint(c: &Constraint) -> Vec<u8> {
 }
 
 /// The hint projected onto the query's variables, sorted and deduplicated.
-pub(crate) fn hint_key<F>(constraints: &[Constraint], hint: &F) -> HintKey
+fn hint_key<F>(q: Query<'_>, hint: &F) -> HintKey
 where
     F: Fn(Var) -> Option<i64>,
 {
-    let mut key: HintKey = constraints
+    let mut key: HintKey = q
         .iter()
         .flat_map(|c| c.vars())
         .map(|v| (v.0, hint(v)))

@@ -102,8 +102,22 @@ pub struct SessionStats {
     pub portfolio_lp_wins: u64,
 }
 
+impl SessionStats {
+    /// The counts added since the snapshot `earlier` of the same session:
+    /// a long-lived session's counters only grow, so a caller that reports
+    /// per-call activity takes this delta instead of the running totals.
+    pub fn since(self, earlier: SessionStats) -> SessionStats {
+        SessionStats {
+            warm_pivots: self.warm_pivots - earlier.warm_pivots,
+            cold_restarts: self.cold_restarts - earlier.cold_restarts,
+            portfolio_fd_wins: self.portfolio_fd_wins - earlier.portfolio_fd_wins,
+            portfolio_lp_wins: self.portfolio_lp_wins - earlier.portfolio_lp_wins,
+        }
+    }
+}
+
 /// Tunable solver limits.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverConfig {
     /// Box applied to every variable (program inputs are 32-bit words).
     pub default_bounds: Bounds,
@@ -241,8 +255,8 @@ impl Solver {
     /// Starts an incremental prefix session: push the path constraints of a
     /// run once, then answer each `negated_prefix(j)` query from the shared
     /// prefix state instead of rebuilding it (see [`PrefixSession`]).
-    pub fn session(&self) -> PrefixSession<'_> {
-        PrefixSession::new(self)
+    pub fn session(&self) -> PrefixSession {
+        PrefixSession::new(self.clone())
     }
 
     /// Solves the conjunction of `constraints`.
@@ -803,6 +817,10 @@ impl Solver {
 /// corresponding constraint was pushed.
 #[derive(Debug, Clone)]
 struct Frame {
+    /// The constraint this frame pushed, trivial ones included (those
+    /// leave no `live` entry), so [`PrefixSession::sync`] can find the
+    /// longest common prefix with a new path.
+    pushed: Constraint,
     live_len: usize,
     vars_len: usize,
     rows_len: usize,
@@ -819,7 +837,8 @@ struct Frame {
     infeasible: bool,
 }
 
-/// Incremental solving of one run's `negated_prefix(j)` query family.
+/// Incremental solving of the directed search's `negated_prefix(j)`
+/// queries.
 ///
 /// The directed search (paper Fig. 5) solves, for each candidate branch `j`
 /// of a run, the query `c_0 ∧ … ∧ c_{j-1} ∧ ¬c_j`. A fresh
@@ -832,6 +851,12 @@ struct Frame {
 /// snapshot at depth `j` — it also screens the query against a shared-prefix
 /// LP ([`LpSession`]) whose tableau and last feasible vertex persist across
 /// the whole query family.
+///
+/// Consecutive runs share all but the tail of their path constraints, so
+/// one session serves a whole engine session: [`PrefixSession::sync`] pops
+/// back to the longest common prefix and pushes only the new suffix. Every
+/// frame is a function of the constraints pushed up to it, so a synced
+/// session answers exactly like a freshly built one.
 ///
 /// Outcomes are equisatisfiable with `solve_with_hint` on the same
 /// conjunction; the concrete model may differ (the session's tighter warm
@@ -855,8 +880,8 @@ struct Frame {
 /// assert!(sess.solve_query(0, &neg, |_| None).is_sat());
 /// ```
 #[derive(Debug, Clone)]
-pub struct PrefixSession<'s> {
-    solver: &'s Solver,
+pub struct PrefixSession {
+    solver: Solver,
     /// Non-trivial pushed constraints, in push order.
     live: Vec<Constraint>,
     /// Dense variable numbering, append-only across pushes.
@@ -866,18 +891,16 @@ pub struct PrefixSession<'s> {
     rows: Vec<Row>,
     /// Multi-variable `!=` case splits of the live prefix.
     splits: Vec<NeSplit>,
-    /// Shared-prefix LP; its frame stack mirrors `frames` up to
-    /// `lp_synced` (queries at shallower depths pop it lazily).
-    lp: LpSession,
-    /// How many leading `frames` the LP currently has pushed.
-    lp_synced: usize,
+    /// Shared-prefix LP screen.
+    lp: PrefixLp,
     frames: Vec<Frame>,
     /// Portfolio race outcomes (the LP counters live in `lp`).
     stats: SessionStats,
 }
 
-impl<'s> PrefixSession<'s> {
-    fn new(solver: &'s Solver) -> PrefixSession<'s> {
+impl PrefixSession {
+    fn new(solver: Solver) -> PrefixSession {
+        let lp = LpSession::with_warm(0, solver.config.lp_warm);
         PrefixSession {
             solver,
             live: Vec::new(),
@@ -885,8 +908,7 @@ impl<'s> PrefixSession<'s> {
             var_idx: HashMap::new(),
             rows: Vec::new(),
             splits: Vec::new(),
-            lp: LpSession::with_warm(0, solver.config.lp_warm),
-            lp_synced: 0,
+            lp: PrefixLp { lp, synced: 0 },
             frames: Vec::new(),
             stats: SessionStats::default(),
         }
@@ -897,10 +919,11 @@ impl<'s> PrefixSession<'s> {
         self.frames.len()
     }
 
-    /// Solver-internal counters accumulated over this session's queries:
-    /// warm-LP pivots and restarts plus portfolio race wins.
+    /// Solver-internal counters accumulated over this session's lifetime:
+    /// warm-LP pivots and restarts plus portfolio race wins. Use
+    /// [`SessionStats::since`] for the activity of one stretch of queries.
     pub fn stats(&self) -> SessionStats {
-        let lp = self.lp.stats();
+        let lp = self.lp.lp.stats();
         SessionStats {
             warm_pivots: lp.warm_pivots,
             cold_restarts: lp.cold_restarts,
@@ -909,8 +932,28 @@ impl<'s> PrefixSession<'s> {
     }
 
     /// The solver this session runs on.
-    pub fn solver(&self) -> &'s Solver {
-        self.solver
+    pub fn solver(&self) -> &Solver {
+        &self.solver
+    }
+
+    /// Brings the session to exactly `prefix` on `solver`: pops back to the
+    /// longest common prefix with what is pushed, then pushes the rest.
+    /// A session built for a different solver configuration is rebuilt
+    /// from scratch instead.
+    pub fn sync(&mut self, solver: &Solver, prefix: &[Constraint]) {
+        if self.solver.config != solver.config {
+            *self = solver.session();
+        }
+        let common = self
+            .frames
+            .iter()
+            .zip(prefix)
+            .take_while(|(f, c)| f.pushed == **c)
+            .count();
+        self.truncate(common);
+        for c in &prefix[common..] {
+            self.push(c);
+        }
     }
 
     /// Pushes the next path constraint, extending the numbering, the
@@ -918,27 +961,16 @@ impl<'s> PrefixSession<'s> {
     pub fn push(&mut self, c: &Constraint) {
         let b = self.solver.config.default_bounds;
         let prev = self.frames.last();
-        let mut frame = match prev {
-            Some(f) => Frame {
-                live_len: f.live_len,
-                vars_len: f.vars_len,
-                rows_len: f.rows_len,
-                splits_len: f.splits_len,
-                lp_rows: Vec::new(),
-                exclusions: f.exclusions.clone(),
-                boxes: f.boxes.clone(),
-                infeasible: f.infeasible,
-            },
-            None => Frame {
-                live_len: 0,
-                vars_len: 0,
-                rows_len: 0,
-                splits_len: 0,
-                lp_rows: Vec::new(),
-                exclusions: Vec::new(),
-                boxes: Vec::new(),
-                infeasible: false,
-            },
+        let mut frame = Frame {
+            pushed: c.clone(),
+            live_len: prev.map_or(0, |f| f.live_len),
+            vars_len: prev.map_or(0, |f| f.vars_len),
+            rows_len: prev.map_or(0, |f| f.rows_len),
+            splits_len: prev.map_or(0, |f| f.splits_len),
+            lp_rows: Vec::new(),
+            exclusions: prev.map(|f| f.exclusions.clone()).unwrap_or_default(),
+            boxes: prev.map(|f| f.boxes.clone()).unwrap_or_default(),
+            infeasible: prev.is_some_and(|f| f.infeasible),
         };
         let screened = match c.triviality() {
             Some(true) => None,
@@ -994,7 +1026,17 @@ impl<'s> PrefixSession<'s> {
     ///
     /// Panics if the session is empty.
     pub fn pop(&mut self) {
-        self.frames.pop().expect("pop on an empty PrefixSession");
+        let depth = self.depth();
+        assert!(depth > 0, "pop on an empty PrefixSession");
+        self.truncate(depth - 1);
+    }
+
+    /// Pops frames until at most `depth` remain.
+    fn truncate(&mut self, depth: usize) {
+        if depth >= self.frames.len() {
+            return;
+        }
+        self.frames.truncate(depth);
         let (live_len, vars_len, rows_len, splits_len) = self
             .frames
             .last()
@@ -1006,11 +1048,7 @@ impl<'s> PrefixSession<'s> {
         self.live.truncate(live_len);
         self.rows.truncate(rows_len);
         self.splits.truncate(splits_len);
-        let depth = self.frames.len();
-        if self.lp_synced > depth {
-            self.lp.pop_to(depth);
-            self.lp_synced = depth;
-        }
+        self.lp.truncate(depth);
     }
 
     /// Solves `pushed[0] ∧ … ∧ pushed[j-1] ∧ negated` — the directed
@@ -1052,8 +1090,9 @@ impl<'s> PrefixSession<'s> {
         F: Fn(Var) -> Option<i64>,
     {
         assert!(j <= self.frames.len(), "query depth {j} beyond session");
-        let clock = QueryClock::start(self.solver.config.deadline);
-        let b = self.solver.config.default_bounds;
+        let solver = &self.solver;
+        let clock = QueryClock::start(solver.config.deadline);
+        let b = solver.config.default_bounds;
         let (live_len, vars_len, rows_len, splits_len, infeasible) = if j == 0 {
             (0, 0, 0, 0, false)
         } else {
@@ -1077,12 +1116,7 @@ impl<'s> PrefixSession<'s> {
             None if gcd_infeasible(negated) => return SolveOutcome::Unsat,
             None => Some(negated),
         };
-        let q_live: Vec<Constraint> = self.live[..live_len]
-            .iter()
-            .chain(neg_live)
-            .cloned()
-            .collect();
-        let q_live: Vec<&Constraint> = q_live.iter().collect();
+        let q_live: Vec<&Constraint> = self.live[..live_len].iter().chain(neg_live).collect();
         if q_live.is_empty() {
             return SolveOutcome::Sat(Assignment::new());
         }
@@ -1145,7 +1179,7 @@ impl<'s> PrefixSession<'s> {
             }
             if rest_ok {
                 let comp_live: Vec<&Constraint> = neg_comp.iter().map(|&i| q_live[i]).collect();
-                match self.solver.solve_component(&comp_live, &hint, &clock) {
+                match solver.solve_component(&comp_live, &hint, &clock) {
                     SolveOutcome::Sat(part) => {
                         fill.extend(part);
                         return SolveOutcome::Sat(fill);
@@ -1176,7 +1210,7 @@ impl<'s> PrefixSession<'s> {
 
         // Warm-started interval propagation: the prefix part of `q_boxes`
         // is already at its fixpoint, so only the negated rows do work.
-        if !self.solver.propagate(&q_rows, &mut q_boxes) {
+        if !solver.propagate(&q_rows, &mut q_boxes) {
             return SolveOutcome::Unsat;
         }
 
@@ -1188,15 +1222,25 @@ impl<'s> PrefixSession<'s> {
         // LP only on a miss; the portfolio races them on two threads with
         // a deterministic first-decisive-verdict commit rule.
         let hint_vals: Vec<i64> = q_vars.iter().map(|&v| hint(v).unwrap_or(0)).collect();
-        if self.solver.config.portfolio && self.lp_available(j, n) {
+        if solver.config.portfolio && self.lp.available(&self.frames, j, n) {
             let neg_lp = shift_lp_rows(&q_rows[first_new_row..], b, vars_len, n);
-            if let Some(outcome) = self.race_strategies(
-                &q_rows, &q_boxes, &q_excl, &hint_vals, &q_splits, &q_live, &q_vars, neg_lp, &clock,
+            if let Some(outcome) = self.lp.race(
+                solver,
+                &mut self.stats,
+                &q_rows,
+                &q_boxes,
+                &q_excl,
+                &hint_vals,
+                &q_splits,
+                &q_live,
+                &q_vars,
+                neg_lp,
+                &clock,
             ) {
                 return outcome;
             }
         } else {
-            if let Some(model) = self.solver.fd_strategy(
+            if let Some(model) = solver.fd_strategy(
                 &q_rows, &q_boxes, &q_excl, &hint_vals, &q_splits, &q_live, &q_vars, &clock,
             ) {
                 return SolveOutcome::Sat(model);
@@ -1204,11 +1248,12 @@ impl<'s> PrefixSession<'s> {
             // The LP's cached vertex survives pops, so sibling queries
             // usually answer by point checks; on a miss the warm
             // dictionary repairs with a few dual pivots.
-            if self.lp_available(j, n) {
+            if self.lp.available(&self.frames, j, n) {
                 let neg_lp = shift_lp_rows(&q_rows[first_new_row..], b, vars_len, n);
-                let mark = self.lp.push_frame(neg_lp);
-                let verdict = self.lp.feasible();
-                self.lp.pop_to(mark);
+                let lp = &mut self.lp.lp;
+                let mark = lp.push_frame(neg_lp);
+                let verdict = lp.feasible();
+                lp.pop_to(mark);
                 match verdict {
                     Ok(LpResult::Infeasible) => return SolveOutcome::Unsat,
                     Ok(LpResult::Feasible(_)) => {}
@@ -1218,8 +1263,8 @@ impl<'s> PrefixSession<'s> {
         }
 
         // Full integer solve from the warm state.
-        let mut leaves_left = self.solver.config.max_ne_leaves.max(1);
-        let outcome = self.solver.lazy_solve(
+        let mut leaves_left = solver.config.max_ne_leaves.max(1);
+        let outcome = solver.lazy_solve(
             &mut q_rows,
             &mut q_splits,
             &q_excl,
@@ -1255,19 +1300,38 @@ impl<'s> PrefixSession<'s> {
             }
         }
     }
+}
 
-    /// Brings the shared-prefix LP to exactly the first `j` frames,
-    /// popping or re-pushing stored frame rows as needed. Returns `false`
-    /// when the LP has to be skipped (a rejected width change — cannot
-    /// happen with the monotone widths used here, but the screen degrades
-    /// instead of aborting).
-    fn sync_lp(&mut self, j: usize) -> bool {
-        if self.lp_synced > j {
-            self.lp.pop_to(j);
-            self.lp_synced = j;
+/// A [`PrefixSession`]'s shared-prefix LP. Its frame stack mirrors the
+/// session's frames up to `synced`; queries at shallower depths pop it
+/// lazily and deeper ones re-push the stored frame rows.
+#[derive(Debug, Clone)]
+struct PrefixLp {
+    lp: LpSession,
+    /// How many leading session frames the LP currently has pushed.
+    synced: usize,
+}
+
+impl PrefixLp {
+    /// Drops LP frames past session depth `depth` (the session popped).
+    fn truncate(&mut self, depth: usize) {
+        if self.synced > depth {
+            self.lp.pop_to(depth);
+            self.synced = depth;
         }
-        while self.lp_synced < j {
-            let f = &self.frames[self.lp_synced];
+    }
+
+    /// Brings the LP to exactly the first `j` session `frames`, popping or
+    /// re-pushing stored frame rows as needed, and widens it to at least
+    /// `n` columns (a deeper earlier query may already have widened it
+    /// further; the extra zero columns don't change feasibility). `false`
+    /// means the LP screen must be skipped for this query (a rejected width
+    /// change — cannot happen with the monotone widths used here, but the
+    /// screen degrades instead of aborting).
+    fn available(&mut self, frames: &[Frame], j: usize, n: usize) -> bool {
+        self.truncate(j);
+        while self.synced < j {
+            let f = &frames[self.synced];
             if self
                 .lp
                 .grow_vars(f.vars_len.max(self.lp.num_vars()))
@@ -1276,17 +1340,9 @@ impl<'s> PrefixSession<'s> {
                 return false;
             }
             self.lp.push_frame(f.lp_rows.clone());
-            self.lp_synced += 1;
+            self.synced += 1;
         }
-        true
-    }
-
-    /// Syncs the shared-prefix LP to depth `j` and widens it to at least
-    /// `n` columns (a deeper earlier query may already have widened it
-    /// further; the extra zero columns don't change feasibility). `false`
-    /// means the LP screen must be skipped for this query.
-    fn lp_available(&mut self, j: usize, n: usize) -> bool {
-        self.sync_lp(j) && self.lp.grow_vars(n.max(self.lp.num_vars())).is_ok()
+        self.lp.grow_vars(n.max(self.lp.num_vars())).is_ok()
     }
 
     /// Races the FD and warm-LP strategies on two threads. Only a
@@ -1299,8 +1355,10 @@ impl<'s> PrefixSession<'s> {
     /// `None` — both arms indecisive — falls through to the same complete
     /// solve the sequential pipeline uses.
     #[allow(clippy::too_many_arguments)] // internal; mirrors the search state
-    fn race_strategies(
+    fn race(
         &mut self,
+        solver: &Solver,
+        stats: &mut SessionStats,
         q_rows: &[Row],
         q_boxes: &[(i128, i128)],
         q_excl: &[BTreeSet<i64>],
@@ -1311,7 +1369,6 @@ impl<'s> PrefixSession<'s> {
         neg_lp: Vec<LpRow>,
         clock: &QueryClock,
     ) -> Option<SolveOutcome> {
-        let solver = self.solver;
         let lp = &mut self.lp;
         let fd_cancel = AtomicBool::new(false);
         let lp_cancel = AtomicBool::new(false);
@@ -1338,11 +1395,11 @@ impl<'s> PrefixSession<'s> {
         });
         if let Ok(Some(LpResult::Infeasible)) = lp_verdict {
             debug_assert!(fd_model.is_none(), "sound strategies cannot disagree");
-            self.stats.portfolio_lp_wins += 1;
+            stats.portfolio_lp_wins += 1;
             return Some(SolveOutcome::Unsat);
         }
         if let Some(model) = fd_model {
-            self.stats.portfolio_fd_wins += 1;
+            stats.portfolio_fd_wins += 1;
             return Some(SolveOutcome::Sat(model));
         }
         None
@@ -1829,6 +1886,31 @@ mod tests {
             SolveOutcome::Unknown => {}
             SolveOutcome::Unsat => panic!("z != 0 alone is satisfiable"),
         }
+    }
+
+    #[test]
+    fn sync_drops_the_old_prefix_from_the_lp_screen() {
+        // With the FD pass capped at one node, both queries below reach
+        // the shared-prefix LP. The first syncs the LP to `x + y <= 0`;
+        // after the session moves to `x + y <= 200`, an LP still holding
+        // the old row would refute `x + y >= 50`.
+        let s = Solver::new(SolverConfig {
+            max_fd_nodes: 1,
+            ..SolverConfig::default()
+        });
+        let sum = v(0).add(&v(1));
+        let mut sess = s.session();
+        sess.sync(&s, &[Constraint::new(sum.clone(), RelOp::Le)]);
+        let below = Constraint::new(sum.offset(50), RelOp::Le);
+        assert!(sess.solve_query(1, &below, |_| None).is_sat());
+        let prefix = [Constraint::new(sum.offset(-200), RelOp::Le)];
+        sess.sync(&s, &prefix);
+        let above = Constraint::new(sum.offset(-50), RelOp::Ge);
+        let mut fresh = s.session();
+        fresh.push(&prefix[0]);
+        let out = sess.solve_query(1, &above, |_| None);
+        assert!(out.is_sat(), "x + y == 50 satisfies both");
+        assert_eq!(out, fresh.solve_query(1, &above, |_| None));
     }
 
     #[test]

@@ -753,8 +753,11 @@ impl LpSession {
         &mut self,
         cancel: Option<&AtomicBool>,
     ) -> ArithResult<Option<LpResult>> {
+        // A point check that overflows is treated as a miss and resolved,
+        // so the cached vertex (history) can never turn into an error
+        // that a fresh session would not report.
         if let Some(p) = &self.last_point {
-            if self.satisfies(p)? {
+            if matches!(self.satisfies(p), Ok(true)) {
                 return Ok(Some(LpResult::Feasible(p.clone())));
             }
         }

@@ -36,6 +36,70 @@ fn constraint() -> impl Strategy<Value = Constraint> {
     (lin_expr(), relop()).prop_map(|(e, op)| Constraint::new(e, op))
 }
 
+/// Path constraints for session traces: mostly arbitrary, plus the two
+/// kinds a session screens out before numbering — trivially false
+/// constants and GCD-infeasible equalities (`2a·x + 2b·y + odd == 0`) —
+/// which leave no live entry behind.
+fn path_constraint() -> impl Strategy<Value = Constraint> {
+    prop_oneof![
+        6 => constraint(),
+        1 => (1i64..=20).prop_map(|k| Constraint::new(LinExpr::constant_expr(k), RelOp::Eq)),
+        1 => (1i64..=3, 1i64..=3, 0u32..NUM_VARS, 0u32..NUM_VARS, -10i64..=10).prop_map(
+            |(a, b, x, y, k)| {
+                let expr = LinExpr::from_terms([(Var(x), 2 * a), (Var(y), 2 * b)], 2 * k + 1);
+                Constraint::new(expr, RelOp::Eq)
+            }
+        ),
+    ]
+}
+
+/// One step of a session-reuse trace.
+#[derive(Debug, Clone)]
+enum SessionStep {
+    Push(Constraint),
+    Pop,
+    /// Sync to the first `keep` pushed constraints plus `suffix`, on
+    /// solver configuration `config` (an index into
+    /// `reuse_trace_configs`).
+    Sync {
+        keep: usize,
+        suffix: Vec<Constraint>,
+        config: usize,
+    },
+}
+
+fn session_step() -> impl Strategy<Value = SessionStep> {
+    prop_oneof![
+        2 => path_constraint().prop_map(SessionStep::Push),
+        1 => Just(SessionStep::Pop),
+        3 => (0usize..6, proptest::collection::vec(path_constraint(), 0..4), 0u32..10)
+            .prop_map(|(keep, suffix, r)| SessionStep::Sync {
+                keep,
+                suffix,
+                config: if r < 8 { 0 } else { r as usize - 7 },
+            }),
+    ]
+}
+
+/// Solver configurations a reuse trace switches between. The first caps
+/// the FD pass at one node, so most queries reach the shared-prefix LP
+/// screen and stale LP rows would show as wrong verdicts; the others are
+/// the same with the cold LP engine, and the defaults.
+fn reuse_trace_configs() -> [Solver; 3] {
+    let tight = SolverConfig {
+        max_fd_nodes: 1,
+        ..SolverConfig::default()
+    };
+    [
+        Solver::new(tight),
+        Solver::new(SolverConfig {
+            lp_warm: false,
+            ..tight
+        }),
+        Solver::default(),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -385,6 +449,62 @@ proptest! {
             prop_assert_eq!(
                 &a, &b,
                 "portfolio race diverged from sequential at j={}", j
+            );
+        }
+    }
+
+    /// A session reused across a push/pop/sync trace answers every query
+    /// exactly like a session freshly built over the same prefix — models
+    /// included. After each step, every `negated_prefix(j)` query and one
+    /// extra query at full depth go to both; the reused session carries
+    /// all earlier steps' LP state and numbering history, the fresh one
+    /// none.
+    #[test]
+    fn reused_session_matches_fresh_session(
+        trace in proptest::collection::vec(session_step(), 1..10),
+        extra in path_constraint(),
+        hint in proptest::collection::vec(-30i64..=30, NUM_VARS as usize),
+    ) {
+        let solvers = reuse_trace_configs();
+        let lookup = |v: Var| Some(hint[v.index()]);
+        let mut solver = &solvers[0];
+        let mut reused = solver.session();
+        let mut pushed: Vec<Constraint> = Vec::new();
+        for (step_no, step) in trace.iter().enumerate() {
+            match step {
+                SessionStep::Push(c) => {
+                    reused.push(c);
+                    pushed.push(c.clone());
+                }
+                SessionStep::Pop => {
+                    if pushed.pop().is_some() {
+                        reused.pop();
+                    }
+                }
+                SessionStep::Sync { keep, suffix, config } => {
+                    solver = &solvers[*config];
+                    pushed.truncate(*keep);
+                    pushed.extend(suffix.iter().cloned());
+                    reused.sync(solver, &pushed);
+                }
+            }
+            prop_assert_eq!(reused.depth(), pushed.len());
+            let mut fresh = solver.session();
+            for c in &pushed {
+                fresh.push(c);
+            }
+            for j in (0..pushed.len()).rev() {
+                let negated = pushed[j].negated();
+                prop_assert_eq!(
+                    reused.solve_query(j, &negated, lookup),
+                    fresh.solve_query(j, &negated, lookup),
+                    "step {} query j={}", step_no, j
+                );
+            }
+            prop_assert_eq!(
+                reused.solve_query(pushed.len(), &extra, lookup),
+                fresh.solve_query(pushed.len(), &extra, lookup),
+                "step {} full-depth query", step_no
             );
         }
     }

@@ -28,15 +28,18 @@ fn write_demo(dir: &std::path::Path) -> std::path::PathBuf {
     path
 }
 
-fn tempdir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dartc-test-{}", std::process::id()));
+/// A directory private to one test. The tests run concurrently, so a
+/// shared directory would let one test truncate `demo.mc` while another's
+/// `dartc` is reading it.
+fn tempdir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("dartc-test-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
 #[test]
 fn finds_bug_and_exits_one() {
-    let dir = tempdir();
+    let dir = tempdir("finds_bug_and_exits_one");
     let demo = write_demo(&dir);
     let out = dartc()
         .arg(&demo)
@@ -55,7 +58,7 @@ fn finds_bug_and_exits_one() {
 
 #[test]
 fn save_and_replay_roundtrip() {
-    let dir = tempdir();
+    let dir = tempdir("save_and_replay_roundtrip");
     let demo = write_demo(&dir);
     let bugfile = dir.join("bug.txt");
 
@@ -92,7 +95,7 @@ fn save_and_replay_roundtrip() {
 
 #[test]
 fn clean_program_exits_zero() {
-    let dir = tempdir();
+    let dir = tempdir("clean_program_exits_zero");
     let path = dir.join("clean.mc");
     std::fs::write(&path, "int id(int x) { return x; }").unwrap();
     let out = dartc().arg(&path).output().unwrap(); // single function: no --toplevel needed
@@ -103,7 +106,7 @@ fn clean_program_exits_zero() {
 
 #[test]
 fn compile_errors_exit_two() {
-    let dir = tempdir();
+    let dir = tempdir("compile_errors_exit_two");
     let path = dir.join("broken.mc");
     std::fs::write(&path, "int f( { }").unwrap();
     let out = dartc()
@@ -124,7 +127,7 @@ fn usage_errors_exit_two() {
 
 #[test]
 fn print_ir_disassembles() {
-    let dir = tempdir();
+    let dir = tempdir("print_ir_disassembles");
     let demo = write_demo(&dir);
     let out = dartc().arg(&demo).arg("--print-ir").output().unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
