@@ -27,7 +27,7 @@
 
 use dart::{Dart, DartConfig, EngineMode, ExecTier, FrontierOrder, SchedulerMode};
 use dart_bench::{fmt_dur, header, seed_from_args};
-use dart_workloads::{generate_osip, OsipConfig, Planted};
+use dart_workloads::{generate_osip, OsipConfig};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -153,15 +153,7 @@ fn main() {
             crashed += 1;
             runs_to_crash.push(report.runs);
         }
-        let class = match f.planted {
-            Planted::None => "correctly guarded (no defect)",
-            Planted::UnguardedNullDeref => "unguarded NULL deref",
-            Planted::GuardedWrongPath => "guard missing on rare path",
-            Planted::NonTermination => "input-gated hang",
-            Planted::BlindDivByZero => "blind div-by-zero (expected miss)",
-            Planted::BoundaryOffByOne => "boundary off-by-one (expected miss)",
-        };
-        let e = by_class.entry(class).or_insert((0, 0));
+        let e = by_class.entry(f.planted.label()).or_insert((0, 0));
         e.0 += usize::from(report.found_bug());
         e.1 += 1;
     }

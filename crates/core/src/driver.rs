@@ -1394,13 +1394,11 @@ mod tests {
                 report.blocks_fused = 0;
                 report.block_fallbacks = 0;
                 report.steps_fast_pathed = 0;
-                // Under an ambient `DART_PORTFOLIO=on` the race makes the
-                // LP/portfolio counters timing-dependent; they are
-                // scheduling diagnostics, not observables.
-                report.solver.warm_pivots = 0;
-                report.solver.cold_restarts = 0;
-                report.solver.portfolio_fd_wins = 0;
-                report.solver.portfolio_lp_wins = 0;
+                // Under an ambient `DART_PORTFOLIO=on` or
+                // `DART_SOLVE_THREADS` the race and the pool make the
+                // LP/portfolio and pool counters timing-dependent; they
+                // are scheduling diagnostics, not observables.
+                report.solver.scrub_scheduling();
                 report
             };
             assert_eq!(run(ExecTier::Interp), run(ExecTier::Compiled), "{mode:?}");

@@ -258,12 +258,11 @@ fn run_once_impl(
 
     // External variables are inputs (§3.1), initialized at run start.
     for ev in &compiled.extern_vars {
-        let (ty, off, name) = (ev.ty.clone(), ev.offset, ev.name.clone());
         ctx.random_init(
             machine.mem_mut(),
-            GLOBAL_BASE + off as i64,
-            &ty,
-            &format!("extern {name}"),
+            GLOBAL_BASE + ev.offset as i64,
+            &ev.ty,
+            &|| format!("extern {}", ev.name),
             0,
         );
     }
@@ -274,17 +273,15 @@ fn run_once_impl(
     let mut block_fallbacks = 0u64;
     let mut steps_fast_pathed = 0u64;
     // The injected-allocation-denial pre-check below must consult the
-    // *source* statement every step; programs that never allocate (the
-    // common case) skip it wholesale — on the compiled tier that fetch
-    // is the only per-step touch of the source tree.
-    let has_alloc = compiled
-        .program
-        .stmts
-        .iter()
-        .any(|s| matches!(s, Statement::Alloc { .. }));
+    // *source* statement every step; sessions whose fault plan denies no
+    // allocation (every session outside fault-injection tests) skip it
+    // wholesale — on the compiled tier that fetch is the only per-step
+    // touch of the source tree.
+    let may_deny_alloc = faults.may_deny_alloc();
+    let zero_args = vec![0; sig.params.len()];
     'driver: for iter in 0..depth {
         // Fresh inputs for the toplevel arguments (Fig. 7's loop body).
-        let base = match machine.call(sig.id, &vec![0; sig.params.len()]) {
+        let base = match machine.call(sig.id, &zero_args) {
             Ok(base) => base,
             Err(fault) => {
                 termination = RunTermination::Crash(fault);
@@ -292,8 +289,8 @@ fn run_once_impl(
             }
         };
         for (i, (pname, pty)) in sig.params.iter().enumerate() {
-            let (pty, label) = (pty.clone(), format!("arg {pname} (iter {iter})"));
-            ctx.random_init(machine.mem_mut(), base + i as i64, &pty, &label, 0);
+            let label = || format!("arg {pname} (iter {iter})");
+            ctx.random_init(machine.mem_mut(), base + i as i64, pty, &label, 0);
         }
 
         // The instrumented execution loop.
@@ -310,7 +307,7 @@ fn run_once_impl(
                     // Injected allocation denial: terminate exactly as the
                     // real allocation budget would, before the statement
                     // executes.
-                    if has_alloc
+                    if may_deny_alloc
                         && matches!(m.current_statement(), Some(Statement::Alloc { .. }))
                         && faults.deny_next_alloc()
                     {
@@ -369,7 +366,7 @@ fn run_once_impl(
                                 Planned::Skipped
                             };
                             ctx.note_taint();
-                            if has_alloc
+                            if may_deny_alloc
                                 && matches!(m.current_statement(), Some(Statement::Alloc { .. }))
                                 && faults.deny_next_alloc()
                             {

@@ -110,6 +110,12 @@ impl FaultState {
         self.plan.unknown_on_query == Some(n)
     }
 
+    /// Whether the plan denies any allocation at all; when it does not,
+    /// callers may skip [`FaultState::deny_next_alloc`] entirely.
+    pub fn may_deny_alloc(&self) -> bool {
+        self.plan.deny_alloc.is_some()
+    }
+
     /// Consumes one allocation slot; `true` iff this allocation is the
     /// plan's denied one.
     pub fn deny_next_alloc(&mut self) -> bool {
@@ -128,6 +134,11 @@ impl FaultState {
 
     /// Never injects without the gate.
     pub fn force_unknown_next_query(&mut self) -> bool {
+        false
+    }
+
+    /// Never injects without the gate.
+    pub fn may_deny_alloc(&self) -> bool {
         false
     }
 

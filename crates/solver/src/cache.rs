@@ -67,7 +67,9 @@
 //! assert_eq!(cache.stats().hits, 1);
 //! ```
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::constraint::Constraint;
@@ -78,13 +80,22 @@ use crate::shared::SharedVerdictStore;
 /// How many recent models the counterexample-reuse pool retains.
 const MODEL_POOL: usize = 64;
 
-/// Canonical fingerprint of a constraint set: one byte string per
-/// constraint (relational operator, then the expression's sorted
-/// `(var, coeff)` terms, then the constant), with the per-constraint
-/// strings sorted so the key is order-insensitive. [`seq_key`] builds the
-/// same fingerprints *without* the final sort — an order-sensitive
-/// variant for stores whose entries replay order-dependent solver runs.
+/// Canonical fingerprint of a constraint set for the shared store: one
+/// byte string per constraint (relational operator, then the expression's
+/// sorted `(var, coeff)` terms, then the constant), with the
+/// per-constraint strings sorted so the key is order-insensitive.
+/// [`seq_key`] builds the same fingerprints *without* the final sort — an
+/// order-sensitive variant for stores whose entries replay order-dependent
+/// solver runs. The session stores use the flat [`FlatKey`] instead.
 pub(crate) type SetKey = Vec<Vec<u8>>;
+
+/// The session stores' key for a constraint set, built by [`flat_key`]:
+/// one self-delimiting record per constraint, records sorted, all in one
+/// word slice. Lookups borrow it as `&[u64]`; only an insert boxes it.
+type FlatKey = Box<[u64]>;
+
+/// Builds the session stores' [`WordHasher`]s.
+type WordBuild = BuildHasherDefault<WordHasher>;
 
 /// The hint's projection onto a query's variables, in sorted var order.
 pub(crate) type HintKey = Vec<(u32, Option<i64>)>;
@@ -167,8 +178,9 @@ impl std::ops::AddAssign for CacheStats {
 #[derive(Debug, Clone, Default)]
 pub struct QueryCache {
     enabled: bool,
-    unsat: HashMap<SetKey, ()>,
-    exact: HashMap<(SetKey, HintKey), SolveOutcome>,
+    unsat: HashSet<FlatKey, WordBuild>,
+    /// Set → hint projection → outcome, so a probe never copies the set.
+    exact: HashMap<FlatKey, HashMap<HintKey, SolveOutcome, WordBuild>, WordBuild>,
     models: Vec<Assignment>,
     stats: CacheStats,
     /// The session's prefix solver state, kept between walks so the next
@@ -263,17 +275,18 @@ impl QueryCache {
             prefix: constraints,
             negated: None,
         };
-        let key = self.enabled.then(|| set_key(q.iter()));
-        if let Some(out) = self.shortcut(solver, &key, q, &hint) {
+        let mut key = self.enabled.then(|| flat_key(q));
+        if let Some(out) = self.shortcut(solver, key.as_deref(), q, &hint) {
             return out;
         }
-        if let Some(out) = self.shared_replay(&key, q, &hint) {
+        let mut set = None;
+        if let Some(out) = self.shared_replay(&mut key, &mut set, q, &hint) {
             return out;
         }
         let mut info = SolveInfo::default();
         let out = solver.solve_with_hint_info(constraints, &hint, &mut info);
         self.record(key, q, &hint, info.was_split(), &out);
-        self.publish_shared(q, &hint, info.was_split(), &out);
+        self.publish_shared(set, q, &hint, info.was_split(), &out);
         out
     }
 
@@ -326,11 +339,12 @@ impl QueryCache {
             prefix: session.prefix_live(j),
             negated: Some(negated),
         };
-        let key = self.enabled.then(|| set_key(q.iter()));
-        if let Some(out) = self.shortcut(session.solver(), &key, q, &hint) {
+        let mut key = self.enabled.then(|| flat_key(q));
+        if let Some(out) = self.shortcut(session.solver(), key.as_deref(), q, &hint) {
             return (out, false);
         }
-        if let Some(out) = self.shared_replay(&key, q, &hint) {
+        let mut set = None;
+        if let Some(out) = self.shared_replay(&mut key, &mut set, q, &hint) {
             return (out, false);
         }
         let (out, info, consumed) = match precomputed {
@@ -347,7 +361,7 @@ impl QueryCache {
             negated: Some(negated),
         };
         self.record(key, q, &hint, info.was_split(), &out);
-        self.publish_shared(q, &hint, info.was_split(), &out);
+        self.publish_shared(set, q, &hint, info.was_split(), &out);
         (out, consumed)
     }
 
@@ -371,24 +385,20 @@ impl QueryCache {
             prefix: session.prefix_live(j),
             negated: Some(negated),
         };
-        let key = self.enabled.then(|| set_key(q.iter()));
+        let key = self.enabled.then(|| flat_key(q));
         if let Some(key) = &key {
-            if self.unsat.contains_key(key) {
+            if self.unsat.contains(&key[..]) {
                 return Some(SolveOutcome::Unsat);
             }
         }
         if let Some(m) = self.try_model_reuse(session.solver(), q, &hint) {
             return Some(SolveOutcome::Sat(m));
         }
-        if let Some(key) = &key {
-            let full_key = (key.clone(), hint_key(q, &hint));
-            if let Some(out) = self.exact.get(&full_key).cloned() {
-                return Some(out);
-            }
+        if let Some(out) = key.and_then(|key| self.exact_lookup(&key, q, &hint)) {
+            return Some(out.clone());
         }
         let store = self.shared.as_ref()?;
-        let set = key.unwrap_or_else(|| set_key(q.iter()));
-        if store.lookup_unsat(&set).is_some() {
+        if store.lookup_unsat(&set_key(q.iter())).is_some() {
             return Some(SolveOutcome::Unsat);
         }
         store
@@ -401,9 +411,12 @@ impl QueryCache {
     /// accounting: [`QueryCache::record`] runs as if this session had
     /// solved the query (pool push, session-store promotion, `misses`
     /// and `split_solves`), plus the `shared_hits` diagnostic.
+    /// On a hit the session-store key moves into the record; on a miss
+    /// the store's set key is left in `set` for [`QueryCache::publish_shared`].
     fn shared_replay<F>(
         &mut self,
-        key: &Option<SetKey>,
+        key: &mut Option<Vec<u64>>,
+        set: &mut Option<SetKey>,
         q: Query<'_>,
         hint: &F,
     ) -> Option<SolveOutcome>
@@ -411,29 +424,34 @@ impl QueryCache {
         F: Fn(Var) -> Option<i64>,
     {
         let store = self.shared.clone()?;
-        let set = match key {
-            Some(k) => k.clone(),
-            None => set_key(q.iter()),
-        };
-        let (out, was_split) = match store.lookup_unsat(&set) {
+        let (out, was_split) = match store.lookup_unsat(set.insert(set_key(q.iter()))) {
             Some(was_split) => (SolveOutcome::Unsat, was_split),
             None => store.lookup_exact(&seq_key(q.iter()), &hint_key(q, hint))?,
         };
-        self.record(key.clone(), q, hint, was_split, &out);
+        self.record(key.take(), q, hint, was_split, &out);
         self.stats.shared_hits += 1;
         Some(out)
     }
 
     /// Publishes a fresh verdict to the attached store (no-op without
     /// one): refutations to the hint-free canonical unsat tier,
-    /// `Sat`/`Unknown` to the ordered exact tier.
-    fn publish_shared<F>(&mut self, q: Query<'_>, hint: &F, was_split: bool, out: &SolveOutcome)
-    where
+    /// `Sat`/`Unknown` to the ordered exact tier. `set` is the set key
+    /// [`QueryCache::shared_replay`] built for this query, if it ran.
+    fn publish_shared<F>(
+        &mut self,
+        set: Option<SetKey>,
+        q: Query<'_>,
+        hint: &F,
+        was_split: bool,
+        out: &SolveOutcome,
+    ) where
         F: Fn(Var) -> Option<i64>,
     {
         let Some(store) = &self.shared else { return };
         match out {
-            SolveOutcome::Unsat => store.publish_unsat(set_key(q.iter()), was_split),
+            SolveOutcome::Unsat => {
+                store.publish_unsat(set.unwrap_or_else(|| set_key(q.iter())), was_split)
+            }
             SolveOutcome::Sat(_) | SolveOutcome::Unknown => {
                 store.publish_exact(seq_key(q.iter()), hint_key(q, hint), out.clone(), was_split)
             }
@@ -449,7 +467,7 @@ impl QueryCache {
     fn shortcut<F>(
         &mut self,
         solver: &Solver,
-        key: &Option<SetKey>,
+        key: Option<&[u64]>,
         q: Query<'_>,
         hint: &F,
     ) -> Option<SolveOutcome>
@@ -457,7 +475,7 @@ impl QueryCache {
         F: Fn(Var) -> Option<i64>,
     {
         if let Some(key) = key {
-            if self.unsat.contains_key(key) {
+            if self.unsat.contains(key) {
                 self.stats.hits += 1;
                 return Some(SolveOutcome::Unsat);
             }
@@ -469,19 +487,23 @@ impl QueryCache {
             }
             return Some(SolveOutcome::Sat(m));
         }
-        if let Some(key) = key {
-            let full_key = (key.clone(), hint_key(q, hint));
-            if let Some(out) = self.exact.get(&full_key).cloned() {
-                self.stats.hits += 1;
-                if let SolveOutcome::Sat(m) = &out {
-                    // The disabled path re-solves and re-pushes here;
-                    // mirror it so the pools stay in lockstep.
-                    self.push_model(m.clone());
-                }
-                return Some(out);
-            }
+        let out = self.exact_lookup(key?, q, hint)?.clone();
+        self.stats.hits += 1;
+        if let SolveOutcome::Sat(m) = &out {
+            // The disabled path re-solves and re-pushes here; mirror it
+            // so the pools stay in lockstep.
+            self.push_model(m.clone());
         }
-        None
+        Some(out)
+    }
+
+    /// The exact store's entry for the set `key` under `hint`; the hint
+    /// projection is only built once the set itself is known.
+    fn exact_lookup<F>(&self, key: &[u64], q: Query<'_>, hint: &F) -> Option<&SolveOutcome>
+    where
+        F: Fn(Var) -> Option<i64>,
+    {
+        self.exact.get(key)?.get(&hint_key(q, hint))
     }
 
     /// The counterexample-reuse fast path. Replays the solver's own cheap
@@ -529,7 +551,7 @@ impl QueryCache {
     /// independent of whether another session did the solving.
     fn record<F>(
         &mut self,
-        key: Option<SetKey>,
+        key: Option<Vec<u64>>,
         q: Query<'_>,
         hint: &F,
         was_split: bool,
@@ -548,14 +570,90 @@ impl QueryCache {
             self.push_model(m.clone());
         }
         let Some(key) = key else { return };
+        let key = key.into_boxed_slice();
         match out {
             SolveOutcome::Unsat => {
-                self.unsat.insert(key, ());
+                self.unsat.insert(key);
             }
             SolveOutcome::Sat(_) | SolveOutcome::Unknown => {
-                self.exact.insert((key, hint_key(q, hint)), out.clone());
+                self.exact
+                    .entry(key)
+                    .or_default()
+                    .insert(hint_key(q, hint), out.clone());
             }
         }
+    }
+}
+
+/// The session stores' key for `q`'s constraint set: one record per
+/// constraint — a header word (`op` in the low byte, term count above),
+/// then a `(var, coeff)` word pair per term in variable order, then the
+/// constant — with the records sorted and concatenated.
+///
+/// The key is exact, not a hash: the header fixes each record's length,
+/// so the word string parses back into exactly one sorted list of
+/// records. Two queries get equal keys iff they hold the same multiset of
+/// constraints — iff their [`set_key`]s are equal — in any order. The
+/// capacity is exact, so boxing the key for an insert does not copy it.
+fn flat_key(q: Query<'_>) -> Vec<u64> {
+    let mut records: Vec<&Constraint> = q.iter().collect();
+    records.sort_unstable_by(|a, b| record_cmp(a, b));
+    let words = records.iter().map(|c| 2 + 2 * c.expr.num_vars()).sum();
+    let mut key = Vec::with_capacity(words);
+    for c in records {
+        key.push(record_header(c));
+        for (v, a) in c.expr.iter() {
+            key.extend([u64::from(v.0), a as u64]);
+        }
+        key.push(c.expr.constant() as u64);
+    }
+    key
+}
+
+fn record_header(c: &Constraint) -> u64 {
+    c.op as u64 | (c.expr.num_vars() as u64) << 8
+}
+
+/// A total order on constraints that is `Equal` exactly when their
+/// [`flat_key`] records are identical.
+fn record_cmp(a: &Constraint, b: &Constraint) -> Ordering {
+    record_header(a)
+        .cmp(&record_header(b))
+        .then_with(|| a.expr.iter().cmp(b.expr.iter()))
+        .then_with(|| a.expr.constant().cmp(&b.expr.constant()))
+}
+
+/// A small deterministic multiply-rotate hasher (the FxHash step) for the
+/// session stores: their keys are exact word strings, so the hash only
+/// spreads buckets and needs neither SipHash's cost nor its keys.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.write_u64(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+        }
+        for &b in chunks.remainder() {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -867,6 +965,111 @@ mod tests {
                 shared_hits: 55,
             }
         );
+    }
+
+    mod key_exactness {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn coeff() -> impl Strategy<Value = i64> {
+            prop_oneof![
+                4 => prop_oneof![Just(-2i64), Just(-1), Just(1), Just(2)],
+                1 => Just(i64::MIN),
+                1 => Just(i64::MAX),
+            ]
+        }
+
+        fn relop() -> impl Strategy<Value = RelOp> {
+            prop_oneof![
+                Just(RelOp::Eq),
+                Just(RelOp::Ne),
+                Just(RelOp::Le),
+                Just(RelOp::Lt)
+            ]
+        }
+
+        /// A constraint of exactly 0, 1, 2 or 3 terms over four variables.
+        fn constraint() -> impl Strategy<Value = Constraint> {
+            (
+                0usize..=3,
+                0u32..4,
+                (coeff(), coeff(), coeff()),
+                prop_oneof![-1i64..=1, Just(i64::MIN), Just(i64::MAX)],
+                relop(),
+            )
+                .prop_map(|(n, first, (a, b, c), k, op)| {
+                    let terms = [a, b, c]
+                        .into_iter()
+                        .take(n)
+                        .enumerate()
+                        .map(|(i, a)| (Var((first + i as u32) % 4), a));
+                    Constraint::new(LinExpr::from_terms(terms, k), op)
+                })
+        }
+
+        fn constraints() -> impl Strategy<Value = Vec<Constraint>> {
+            proptest::collection::vec(constraint(), 0..6)
+        }
+
+        fn key_of(cs: &[Constraint]) -> Vec<u64> {
+            flat_key(Query {
+                prefix: cs,
+                negated: None,
+            })
+        }
+
+        /// Without the term count in each header, `x1 - 1 == 0` and the
+        /// pair `1 == 0`, `-1 != 0` would both flatten to `[Eq, 1, 1, -1]`.
+        #[test]
+        fn records_are_self_delimiting() {
+            let one = [Constraint::new(LinExpr::var(Var(1)).offset(-1), RelOp::Eq)];
+            let two = [
+                Constraint::new(LinExpr::constant_expr(1), RelOp::Eq),
+                Constraint::new(LinExpr::constant_expr(-1), RelOp::Ne),
+            ];
+            assert_ne!(key_of(&one), key_of(&two));
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2000))]
+
+            #[test]
+            fn flat_key_is_equal_iff_set_key_is(
+                a in constraints(),
+                other in constraints(),
+                fresh in constraint(),
+                edit in 0u8..5,
+                rot in 0usize..8,
+                pick in 0usize..8,
+            ) {
+                // b: a permutation of a, optionally with one duplicate,
+                // replacement or deletion — or an unrelated multiset.
+                let mut b = a.clone();
+                if !b.is_empty() {
+                    let len = b.len();
+                    b.rotate_left(rot % len);
+                    if rot % 2 == 1 {
+                        b.reverse();
+                    }
+                    match edit {
+                        1 => b.push(b[pick % len].clone()),
+                        2 => b[pick % len] = fresh,
+                        3 => {
+                            b.remove(pick % len);
+                        }
+                        4 => b = other,
+                        _ => {}
+                    }
+                }
+                prop_assert_eq!(
+                    key_of(&a) == key_of(&b),
+                    set_key(a.iter()) == set_key(b.iter()),
+                    "{:?} vs {:?}",
+                    a,
+                    b
+                );
+            }
+        }
     }
 
     #[test]

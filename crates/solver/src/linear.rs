@@ -5,8 +5,9 @@
 //! the paper), so a linear expression plus a relational operator is the whole
 //! constraint language.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A solver variable, identified by a dense index.
 ///
@@ -28,8 +29,81 @@ impl fmt::Display for Var {
     }
 }
 
+/// The `(var, coeff)` terms of a [`LinExpr`]: sorted by variable, no zero
+/// coefficients. Nearly every non-constant form on a DART path mentions a
+/// single input (`x0 - 10`), so one term lives in place and never
+/// allocates; longer sequences live in a `Vec`. The variant follows from
+/// the length alone (heap iff more than one term), so a form that cancels
+/// back to one term moves inline again.
+#[derive(Clone)]
+enum Terms {
+    Inline(Option<(Var, i64)>),
+    Heap(Vec<(Var, i64)>),
+}
+
+impl Terms {
+    const EMPTY: Terms = Terms::Inline(None);
+
+    fn as_slice(&self) -> &[(Var, i64)] {
+        match self {
+            Terms::Inline(t) => t.as_slice(),
+            Terms::Heap(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(Var, i64)] {
+        match self {
+            Terms::Inline(t) => t.as_mut_slice(),
+            Terms::Heap(v) => v,
+        }
+    }
+
+    /// Collects an already sorted, zero-free sequence of at most `max`
+    /// terms; `max` sizes the `Vec` if the sequence spills.
+    fn collect(iter: impl Iterator<Item = (Var, i64)>, max: usize) -> Terms {
+        let mut out = Terms::EMPTY;
+        for t in iter {
+            out.insert(out.as_slice().len(), t, max);
+        }
+        out
+    }
+
+    /// Inserts `t` at position `i`, spilling to a `Vec` of capacity at
+    /// least `cap` when the inline slot is taken.
+    fn insert(&mut self, i: usize, t: (Var, i64), cap: usize) {
+        match self {
+            Terms::Inline(slot @ None) => *slot = Some(t),
+            Terms::Inline(Some(u)) => {
+                let mut v = Vec::with_capacity(cap.max(4));
+                v.push(*u);
+                v.insert(i, t);
+                *self = Terms::Heap(v);
+            }
+            Terms::Heap(v) => v.insert(i, t),
+        }
+    }
+
+    fn remove(&mut self, i: usize) {
+        match self {
+            Terms::Inline(t) => *t = None,
+            Terms::Heap(v) => {
+                v.remove(i);
+                if let [t] = v[..] {
+                    *self = Terms::Inline(Some(t));
+                }
+            }
+        }
+    }
+}
+
+impl Default for Terms {
+    fn default() -> Terms {
+        Terms::EMPTY
+    }
+}
+
 /// A linear expression `sum(coeff_i * var_i) + constant` with exact `i64`
-/// coefficients. Coefficient maps never store zeros.
+/// coefficients. Terms are kept sorted by variable and never store zeros.
 ///
 /// # Examples
 ///
@@ -41,10 +115,45 @@ impl fmt::Display for Var {
 /// assert_eq!(e.coeff(Var(0)), 2);
 /// assert_eq!(e.constant(), 7);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Default)]
 pub struct LinExpr {
-    terms: BTreeMap<Var, i64>,
+    terms: Terms,
     constant: i64,
+}
+
+impl PartialEq for LinExpr {
+    fn eq(&self, other: &LinExpr) -> bool {
+        self.terms.as_slice() == other.terms.as_slice() && self.constant == other.constant
+    }
+}
+
+impl Eq for LinExpr {}
+
+/// Hashes exactly what a `BTreeMap<Var, i64>` of the terms followed by the
+/// constant would: the term count, each `(var, coeff)`, then the constant.
+impl Hash for LinExpr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.terms.as_slice().hash(state);
+        self.constant.hash(state);
+    }
+}
+
+/// Prints the terms as a map, e.g. `LinExpr { terms: {Var(0): 1}, constant: 0 }`.
+impl fmt::Debug for LinExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct TermMap<'a>(&'a [(Var, i64)]);
+        impl fmt::Debug for TermMap<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(v, c)| (v, c)))
+                    .finish()
+            }
+        }
+        f.debug_struct("LinExpr")
+            .field("terms", &TermMap(self.terms.as_slice()))
+            .field("constant", &self.constant)
+            .finish()
+    }
 }
 
 impl LinExpr {
@@ -56,16 +165,17 @@ impl LinExpr {
     /// A constant expression.
     pub fn constant_expr(c: i64) -> LinExpr {
         LinExpr {
-            terms: BTreeMap::new(),
+            terms: Terms::EMPTY,
             constant: c,
         }
     }
 
     /// The expression consisting of a single variable with coefficient 1.
     pub fn var(v: Var) -> LinExpr {
-        let mut terms = BTreeMap::new();
-        terms.insert(v, 1);
-        LinExpr { terms, constant: 0 }
+        LinExpr {
+            terms: Terms::collect(std::iter::once((v, 1)), 1),
+            constant: 0,
+        }
     }
 
     /// Builds an expression from `(var, coeff)` pairs and a constant.
@@ -80,7 +190,11 @@ impl LinExpr {
 
     /// The coefficient of `v` (zero if absent).
     pub fn coeff(&self, v: Var) -> i64 {
-        self.terms.get(&v).copied().unwrap_or(0)
+        let terms = self.terms.as_slice();
+        match terms.binary_search_by_key(&v, |&(u, _)| u) {
+            Ok(i) => terms[i].1,
+            Err(_) => 0,
+        }
     }
 
     /// The constant term.
@@ -90,22 +204,22 @@ impl LinExpr {
 
     /// Whether the expression mentions no variables.
     pub fn is_constant(&self) -> bool {
-        self.terms.is_empty()
+        self.terms.as_slice().is_empty()
     }
 
     /// Number of variables with nonzero coefficient.
     pub fn num_vars(&self) -> usize {
-        self.terms.len()
+        self.terms.as_slice().len()
     }
 
     /// Iterates over `(var, coeff)` pairs in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (Var, i64)> + '_ {
-        self.terms.iter().map(|(&v, &c)| (v, c))
+        self.terms.as_slice().iter().copied()
     }
 
     /// The set of variables mentioned, in order.
     pub fn vars(&self) -> impl Iterator<Item = Var> + '_ {
-        self.terms.keys().copied()
+        self.terms.as_slice().iter().map(|&(v, _)| v)
     }
 
     /// Adds `coeff * v` in place, dropping the term if it cancels to zero.
@@ -115,28 +229,70 @@ impl LinExpr {
         if coeff == 0 {
             return;
         }
-        let entry = self.terms.entry(v).or_insert(0);
-        *entry = entry.saturating_add(coeff);
-        if *entry == 0 {
-            self.terms.remove(&v);
+        match self.terms.as_slice().binary_search_by_key(&v, |&(u, _)| u) {
+            Ok(i) => {
+                let c = &mut self.terms.as_mut_slice()[i].1;
+                *c = c.saturating_add(coeff);
+                if *c == 0 {
+                    self.terms.remove(i);
+                }
+            }
+            Err(i) => self.terms.insert(i, (v, coeff), 0),
         }
     }
 
     /// Returns `self + other`.
     #[must_use]
     pub fn add(&self, other: &LinExpr) -> LinExpr {
-        let mut out = self.clone();
-        for (v, c) in other.iter() {
-            out.add_term(v, c);
-        }
-        out.constant = out.constant.saturating_add(other.constant);
-        out
+        self.add_scaled(other, 1)
     }
 
     /// Returns `self - other`.
     #[must_use]
     pub fn sub(&self, other: &LinExpr) -> LinExpr {
-        self.add(&other.scaled(-1))
+        self.add_scaled(other, -1)
+    }
+
+    /// `self + other.scaled(k)` for a nonzero `k`, as one merge of the two
+    /// sorted term sequences. Each coefficient of `other` saturates when
+    /// scaled and again when added, exactly as the two steps would.
+    fn add_scaled(&self, other: &LinExpr, k: i64) -> LinExpr {
+        let (a, b) = (self.terms.as_slice(), other.terms.as_slice());
+        let (mut i, mut j) = (0, 0);
+        let merged = std::iter::from_fn(|| loop {
+            let (x, y) = (a.get(i), b.get(j));
+            let order = match (x, y) {
+                (Some(x), Some(y)) => x.0.cmp(&y.0),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => return None,
+            };
+            match order {
+                Ordering::Less => {
+                    i += 1;
+                    return x.copied();
+                }
+                Ordering::Greater => {
+                    j += 1;
+                    return y.map(|&(v, c)| (v, c.saturating_mul(k)));
+                }
+                Ordering::Equal => {
+                    let (&(v, c), &(_, d)) = (x?, y?);
+                    i += 1;
+                    j += 1;
+                    let sum = c.saturating_add(d.saturating_mul(k));
+                    if sum != 0 {
+                        return Some((v, sum));
+                    }
+                }
+            }
+        });
+        LinExpr {
+            terms: Terms::collect(merged, a.len() + b.len()),
+            constant: self
+                .constant
+                .saturating_add(other.constant.saturating_mul(k)),
+        }
     }
 
     /// Returns `self * k`.
@@ -145,11 +301,11 @@ impl LinExpr {
         if k == 0 {
             return LinExpr::zero();
         }
-        let terms = self
-            .terms
-            .iter()
-            .map(|(&v, &c)| (v, c.saturating_mul(k)))
-            .collect();
+        // A nonzero coefficient times a nonzero `k` saturates, never to 0.
+        let mut terms = self.terms.clone();
+        for (_, c) in terms.as_mut_slice() {
+            *c = c.saturating_mul(k);
+        }
         LinExpr {
             terms,
             constant: self.constant.saturating_mul(k),
@@ -198,7 +354,7 @@ impl fmt::Display for LinExpr {
             } else if c == -1 {
                 write!(f, " - {v}")?;
             } else {
-                write!(f, " - {}*{v}", -c)?;
+                write!(f, " - {}*{v}", c.unsigned_abs())?;
             }
         }
         if first {
@@ -206,7 +362,7 @@ impl fmt::Display for LinExpr {
         } else if self.constant > 0 {
             write!(f, " + {}", self.constant)?;
         } else if self.constant < 0 {
-            write!(f, " - {}", -self.constant)?;
+            write!(f, " - {}", self.constant.unsigned_abs())?;
         }
         Ok(())
     }

@@ -58,6 +58,18 @@ impl Planted {
     pub fn is_bug(self) -> bool {
         self != Planted::None
     }
+
+    /// The defect class's row label in the E4 detection table.
+    pub fn label(self) -> &'static str {
+        match self {
+            Planted::None => "correctly guarded (no defect)",
+            Planted::UnguardedNullDeref => "unguarded NULL deref",
+            Planted::GuardedWrongPath => "guard missing on rare path",
+            Planted::NonTermination => "input-gated hang",
+            Planted::BlindDivByZero => "blind div-by-zero (expected miss)",
+            Planted::BoundaryOffByOne => "boundary off-by-one (expected miss)",
+        }
+    }
 }
 
 /// One generated externally visible function.
